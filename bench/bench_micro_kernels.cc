@@ -82,6 +82,10 @@ void BM_SpmmArxivScale(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmArxivScale)->Apply(ThreadSweep)->UseRealTime();
 
+// The backward of ag::Spmm on the same operand: a gather over the
+// transpose the matrix carries, which for the symmetric normalized
+// adjacency is the matrix itself. Gate: within 1.2x of
+// BM_SpmmArxivScale at every thread count.
 void BM_SpmmTransposedAArxivScale(benchmark::State& state) {
   SetNumThreads(static_cast<int>(state.range(0)));
   const std::int64_t n = 20000;
@@ -97,6 +101,26 @@ void BM_SpmmTransposedAArxivScale(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * an.nnz() * 64);
 }
 BENCHMARK(BM_SpmmTransposedAArxivScale)->Apply(ThreadSweep)->UseRealTime();
+
+// The same backward over a non-symmetric operand (D^-1 A), which
+// gathers over the transpose it carries from construction.
+void BM_SpmmTransposedARowNormArxivScale(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
+  const std::int64_t n = 20000;
+  Graph g = BenchGraph(n);
+  CsrMatrix an = RowNormalizedAdjacency(g);
+  Rng rng(2);
+  Matrix x = Matrix::RandomNormal(n, 64, 0, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SpmmTransposedA(an, x));
+  }
+  state.counters["threads"] = static_cast<double>(state.range(0));
+  state.counters["size"] = static_cast<double>(n);
+  state.SetItemsProcessed(state.iterations() * an.nnz() * 64);
+}
+BENCHMARK(BM_SpmmTransposedARowNormArxivScale)
+    ->Apply(ThreadSweep)
+    ->UseRealTime();
 
 void BM_KMeansThreads(benchmark::State& state) {
   SetNumThreads(static_cast<int>(state.range(0)));

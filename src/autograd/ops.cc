@@ -62,6 +62,11 @@ Var MatMulTransposedB(const Var& a, const Var& b) {
 
 Var Spmm(std::shared_ptr<const CsrMatrix> s, const Var& x) {
   E2GCL_CHECK(s != nullptr);
+  // The backward gathers over the transpose S carries; check for it
+  // here, where the missing operand is made, not deep in Backward().
+  E2GCL_CHECK_MSG(!x.requires_grad() || s->transpose() != nullptr,
+                  "ag::Spmm: a differentiated operand must carry its "
+                  "transpose (CsrMatrix::MarkSymmetric/CarryTranspose)");
   Matrix value = e2gcl::Spmm(*s, x.value());
   return MakeNode(std::move(value), {x}, [s](Node& n) {
     Node* px = n.parents[0].get();

@@ -22,7 +22,8 @@ Var MatMulTransposedB(const Var& a, const Var& b);
 
 /// C = S * X where S is a constant sparse matrix (no gradient flows to
 /// S; this is the GCN propagation step). The caller keeps `s` alive via
-/// the shared_ptr.
+/// the shared_ptr. When X requires grad, S must carry its transpose
+/// (CsrMatrix::transpose()): the backward is the gather S^T G.
 Var Spmm(std::shared_ptr<const CsrMatrix> s, const Var& x);
 
 Var Add(const Var& a, const Var& b);

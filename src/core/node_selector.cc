@@ -65,6 +65,8 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
       Counter::Get("selector.candidates_evaluated");
   static const Counter selected_counter =
       Counter::Get("selector.nodes_selected");
+  static const Counter relaxed_counter =
+      Counter::Get("selector.relaxed_clusters_scanned");
   const auto t0 = std::chrono::steady_clock::now();
   const std::int64_t n = r.rows();
   E2GCL_CHECK(config.budget > 0 && config.budget <= n);
@@ -92,6 +94,11 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
 
   std::vector<float> best_dist(n, d_init);
   std::vector<char> selected_mask(n, 0);
+  // cap[j] = max of best_dist over cluster j. A relaxed pass over C_j
+  // with threshold t >= cap[j] neither gains nor clamps anything, so it
+  // is skipped; once most clusters are covered that is nearly all of
+  // them.
+  std::vector<float> cap(nc, d_init);
 
   // Effective per-round sample size (Theorem 3).
   std::int64_t ns = config.sample_size;
@@ -144,6 +151,7 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
     std::vector<double> gains(pool_size, 0.0);
     ParallelFor(0, pool_size, 1, [&](std::int64_t pb, std::int64_t pe) {
       std::vector<float> cdist(nc);
+      std::uint64_t scanned = 0;
       for (std::int64_t pi = pb; pi < pe; ++pi) {
         const std::int64_t u = pool[pi];
         const std::int64_t cu = km.assignment[u];
@@ -160,12 +168,15 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
         for (std::int64_t j = 0; j < nc; ++j) {
           if (j == cu) continue;
           const float t = cdist[j] + km.max_radius[j];
+          if (!(t < cap[j])) continue;
+          ++scanned;
           for (std::int64_t v : km.clusters[j]) {
             if (best_dist[v] > t) gain += best_dist[v] - t;
           }
         }
         gains[pi] = gain;
       }
+      relaxed_counter.Add(scanned);
     });
     double best_gain = -1.0;
     std::int64_t best_u = pool.front();
@@ -195,12 +206,19 @@ SelectionResult SelectCoreset(const Matrix& r, const SelectorConfig& config,
                         std::min(best_dist[v], RowDistance(r, v, r, best_u));
                   }
                 });
+    // The own cluster's distances dropped unevenly: recompute its cap.
+    float own_cap = -std::numeric_limits<float>::infinity();
+    for (std::int64_t v : cu_members) own_cap = std::max(own_cap, best_dist[v]);
+    cap[cu] = own_cap;
     for (std::int64_t j = 0; j < nc; ++j) {
       if (j == cu) continue;
       const float t = center_dist[j] + km.max_radius[j];
+      if (!(t < cap[j])) continue;
+      relaxed_counter.Increment();
       for (std::int64_t v : km.clusters[j]) {
         best_dist[v] = std::min(best_dist[v], t);
       }
+      cap[j] = t;  // Every member above t was clamped to it.
     }
   }
 

@@ -14,13 +14,19 @@ ImportanceScores::ImportanceScores(const Graph& g, float beta)
   centrality_ = DegreeCentrality(g);
   for (float c : centrality_) max_centrality_ = std::max(max_centrality_, c);
 
-  // sim_constant_ = max over existing edges of ||x_v - x_u||.
+  // sim_constant_ = max over existing edges of ||x_v - x_u||. Every CSR
+  // slot keeps its distance, which then becomes its existing-edge score.
+  neighbor_scores_.resize(g.col.size());
   for (std::int64_t v = 0; v < g.num_nodes; ++v) {
-    for (std::int32_t u : g.Neighbors(v)) {
-      if (u <= v) continue;
-      sim_constant_ = std::max(
-          sim_constant_, RowDistance(g.features, v, g.features, u));
+    for (std::int64_t k = g.row_ptr[v]; k < g.row_ptr[v + 1]; ++k) {
+      const std::int32_t u = g.col[k];
+      neighbor_scores_[k] = RowDistance(g.features, v, g.features, u);
+      if (u > v) sim_constant_ = std::max(sim_constant_, neighbor_scores_[k]);
     }
+  }
+  for (std::size_t k = 0; k < neighbor_scores_.size(); ++k) {
+    neighbor_scores_[k] =
+        ScoreFromDistance(neighbor_scores_[k], g.col[k], /*is_neighbor=*/true);
   }
 
   // Global feature importance w^f_i = sum_v phi_c(v) |x_v[i]|.
@@ -77,12 +83,18 @@ float ImportanceScores::Similarity(std::int64_t v, std::int64_t u) const {
 
 float ImportanceScores::EdgeScore(std::int64_t v, std::int64_t u,
                                   bool is_neighbor) const {
+  return ScoreFromDistance(
+      RowDistance(graph_->features, v, graph_->features, u), u, is_neighbor);
+}
+
+float ImportanceScores::ScoreFromDistance(float dist, std::int64_t u,
+                                          bool is_neighbor) const {
   // Exponents are normalized to [0, 1] ranges before exp(): the raw
   // phi + Sim form spans several orders of magnitude, which makes the
   // weighted sampling effectively deterministic and collapses the two
   // positive views onto each other. Tempering keeps a clear preference
   // for important edges while preserving sampling diversity.
-  const float sim = Similarity(v, u) / std::max(sim_constant_, 1e-6f);
+  const float sim = (sim_constant_ - dist) / std::max(sim_constant_, 1e-6f);
   const float phi = centrality_[u] / std::max(max_centrality_, 1e-6f);
   if (is_neighbor) {
     return beta_ * std::exp(phi + sim);

@@ -29,6 +29,13 @@ class ImportanceScores {
   /// candidate-edge branch.
   float EdgeScore(std::int64_t v, std::int64_t u, bool is_neighbor) const;
 
+  /// EdgeScore(v, g.col[k], true) for CSR slot k of the scored graph,
+  /// precomputed once: the existing-edge scores are static, and every
+  /// view re-samples every neighbour list.
+  float NeighborEdgeScore(std::int64_t k) const {
+    return neighbor_scores_[k];
+  }
+
   /// Global importance of feature dimension i:
   /// w^f_i = sum_v phi_c(v) * |x_v[i]|.
   float FeatureImportance(std::int64_t dim) const {
@@ -56,6 +63,9 @@ class ImportanceScores {
   float beta() const { return beta_; }
 
  private:
+  /// EdgeScore given the feature distance ||x_v - x_u||.
+  float ScoreFromDistance(float dist, std::int64_t u, bool is_neighbor) const;
+
   const Graph* graph_;
   float beta_;
   std::vector<float> centrality_;
@@ -65,6 +75,8 @@ class ImportanceScores {
   /// Precomputed dim_term(i) and node_term(v) of PerturbProbability.
   std::vector<float> dim_term_;
   std::vector<float> node_term_;
+  /// NeighborEdgeScore per CSR slot.
+  std::vector<float> neighbor_scores_;
 };
 
 }  // namespace e2gcl

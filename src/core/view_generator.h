@@ -74,10 +74,9 @@ class ViewGenerator {
   const Graph& graph() const { return *graph_; }
 
  private:
-  /// Samples the new neighbor set of node u under `config`.
-  std::vector<std::int64_t> SampleNeighbors(std::int64_t u,
-                                            const ViewConfig& config,
-                                            Rng& rng) const;
+  /// Samples the new neighbor set of node u under `config` into `out`.
+  void SampleNeighbors(std::int64_t u, const ViewConfig& config, Rng& rng,
+                       std::vector<std::int64_t>* out) const;
 
   /// Applies Eq. (16) to one feature row (in place).
   void PerturbRow(float* row, std::int64_t node, const ViewConfig& config,
@@ -85,10 +84,13 @@ class ViewGenerator {
 
   const Graph* graph_;
   ImportanceScores scores_;
-  /// Scratch for the 2-hop candidate scan (bitmap + touched list);
-  /// mutable because view sampling is logically const.
+  /// Per-node scratch of SampleNeighbors (2-hop bitmap + touched list,
+  /// candidates, their weights), reused across nodes; mutable because
+  /// view sampling is logically const.
   mutable std::vector<char> seen_scratch_;
   mutable std::vector<std::int64_t> touched_scratch_;
+  mutable std::vector<std::int64_t> candidates_scratch_;
+  mutable std::vector<float> weights_scratch_;
 };
 
 /// Quality of a generated view pair under Def. 2 / Eq. (15), measured

@@ -30,29 +30,52 @@ Graph BuildGraph(
   E2GCL_CHECK(labels.empty() ||
               static_cast<std::int64_t>(labels.size()) == num_nodes);
 
-  // Symmetrize, drop self-loops, dedupe.
-  std::vector<std::pair<std::int64_t, std::int64_t>> dir;
-  dir.reserve(edges.size() * 2);
+  // Symmetrize and drop self-loops, then lay the directed entries out
+  // in (u, v) order by two counting passes and drop duplicates within
+  // each row. Every entry u -> v has its mirror v -> u, so the per-row
+  // counts serve as both the source and the destination buckets.
+  std::vector<std::int64_t> offs(num_nodes + 1, 0);
   for (const auto& [u, v] : edges) {
     E2GCL_CHECK_MSG(u >= 0 && u < num_nodes && v >= 0 && v < num_nodes,
                     "edge (%lld, %lld) out of range",
                     static_cast<long long>(u), static_cast<long long>(v));
     if (u == v) continue;
-    dir.emplace_back(u, v);
-    dir.emplace_back(v, u);
+    offs[u + 1] += 1;
+    offs[v + 1] += 1;
   }
-  std::sort(dir.begin(), dir.end());
-  dir.erase(std::unique(dir.begin(), dir.end()), dir.end());
+  for (std::int64_t i = 0; i < num_nodes; ++i) offs[i + 1] += offs[i];
+  // Pass 1: bucket by destination, recording each entry's source.
+  std::vector<std::int32_t> by_dst(offs[num_nodes]);
+  std::vector<std::int64_t> next(offs.begin(), offs.end() - 1);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    by_dst[next[v]++] = static_cast<std::int32_t>(u);
+    by_dst[next[u]++] = static_cast<std::int32_t>(v);
+  }
+  // Pass 2: destinations in ascending order append to their source's
+  // row, so every row comes out sorted.
+  std::vector<std::int32_t> col(by_dst.size());
+  next.assign(offs.begin(), offs.end() - 1);
+  for (std::int64_t v = 0; v < num_nodes; ++v) {
+    for (std::int64_t k = offs[v]; k < offs[v + 1]; ++k) {
+      col[next[by_dst[k]]++] = static_cast<std::int32_t>(v);
+    }
+  }
+  by_dst = {};
 
   Graph g;
   g.num_nodes = num_nodes;
   g.row_ptr.assign(num_nodes + 1, 0);
-  g.col.reserve(dir.size());
-  for (const auto& [u, v] : dir) {
-    g.col.push_back(static_cast<std::int32_t>(v));
-    g.row_ptr[u + 1] += 1;
+  std::int64_t kept = 0;
+  for (std::int64_t u = 0; u < num_nodes; ++u) {
+    for (std::int64_t k = offs[u]; k < offs[u + 1]; ++k) {
+      if (k == offs[u] || col[k] != col[k - 1]) col[kept++] = col[k];
+    }
+    g.row_ptr[u + 1] = kept;
   }
-  for (std::int64_t i = 0; i < num_nodes; ++i) g.row_ptr[i + 1] += g.row_ptr[i];
+  col.resize(kept);
+  col.shrink_to_fit();
+  g.col = std::move(col);
   g.features = std::move(features);
   g.labels = std::move(labels);
   g.num_classes = num_classes;
@@ -64,33 +87,52 @@ CsrMatrix NormalizedAdjacency(const Graph& g, bool add_self_loops) {
   std::vector<double> deg(n, add_self_loops ? 1.0 : 0.0);
   for (std::int64_t v = 0; v < n; ++v) deg[v] += g.Degree(v);
 
-  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(g.col.size() + (add_self_loops ? n : 0));
+  // Rows are written straight in CSR order: a Graph's rows are sorted,
+  // so the self-loop goes in at its ascending slot (the layout
+  // StreamedNormalizedSpmm replays). Entry (v, u) is 1/sqrt(d_v * d_u)
+  // and the product commutes, so the matrix is bit-exactly symmetric.
+  std::vector<std::int64_t> row_ptr(n + 1, 0);
+  std::vector<std::int32_t> col;
+  std::vector<float> val;
+  col.reserve(g.col.size() + (add_self_loops ? n : 0));
+  val.reserve(col.capacity());
   for (std::int64_t v = 0; v < n; ++v) {
     const double dv = deg[v];
-    if (dv == 0.0) continue;
-    if (add_self_loops) {
-      triplets.emplace_back(v, v, static_cast<float>(1.0 / dv));
+    if (dv != 0.0) {
+      bool self_placed = !add_self_loops;
+      for (std::int32_t u : g.Neighbors(v)) {
+        if (!self_placed && u > v) {
+          col.push_back(static_cast<std::int32_t>(v));
+          val.push_back(static_cast<float>(1.0 / dv));
+          self_placed = true;
+        }
+        col.push_back(u);
+        val.push_back(static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
+      }
+      if (!self_placed) {
+        col.push_back(static_cast<std::int32_t>(v));
+        val.push_back(static_cast<float>(1.0 / dv));
+      }
     }
-    for (std::int32_t u : g.Neighbors(v)) {
-      triplets.emplace_back(
-          v, u, static_cast<float>(1.0 / std::sqrt(dv * deg[u])));
-    }
+    row_ptr[v + 1] = static_cast<std::int64_t>(col.size());
   }
-  return CsrMatrix::FromCoo(n, n, std::move(triplets));
+  CsrMatrix a = CsrMatrix::FromCsr(n, n, std::move(row_ptr), std::move(col),
+                                   std::move(val));
+  a.MarkSymmetric();
+  return a;
 }
 
 CsrMatrix RowNormalizedAdjacency(const Graph& g) {
   const std::int64_t n = g.num_nodes;
-  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(g.col.size());
+  std::vector<float> val;
+  val.reserve(g.col.size());
   for (std::int64_t v = 0; v < n; ++v) {
     const std::int64_t dv = g.Degree(v);
-    if (dv == 0) continue;
-    const float w = 1.0f / static_cast<float>(dv);
-    for (std::int32_t u : g.Neighbors(v)) triplets.emplace_back(v, u, w);
+    if (dv > 0) val.insert(val.end(), dv, 1.0f / static_cast<float>(dv));
   }
-  return CsrMatrix::FromCoo(n, n, std::move(triplets));
+  CsrMatrix a = CsrMatrix::FromCsr(n, n, g.row_ptr, g.col, std::move(val));
+  a.CarryTranspose();  // D^{-1} A is not symmetric.
+  return a;
 }
 
 std::vector<std::int64_t> KHopNeighborhood(const Graph& g, std::int64_t root,

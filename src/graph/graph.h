@@ -69,10 +69,12 @@ Graph BuildGraph(std::int64_t num_nodes,
 
 /// GCN-normalized adjacency D^{-1/2} (A + I) D^{-1/2} (Kipf & Welling),
 /// where D counts the self-loop. Set `add_self_loops` to false for the
-/// plain symmetric normalization D^{-1/2} A D^{-1/2}.
+/// plain symmetric normalization D^{-1/2} A D^{-1/2}. The result is
+/// bit-exactly symmetric and marked so (it is its own transpose).
 CsrMatrix NormalizedAdjacency(const Graph& g, bool add_self_loops = true);
 
-/// Row-normalized adjacency D^{-1} A (random-walk normalization).
+/// Row-normalized adjacency D^{-1} A (random-walk normalization). Not
+/// symmetric, so it carries a transpose built once here.
 CsrMatrix RowNormalizedAdjacency(const Graph& g);
 
 /// Nodes within L hops of `root` (including the root), sorted ascending.

@@ -485,12 +485,14 @@ void NetServer::AcceptNew() {
                       shutdown_.load(std::memory_order_acquire)
                           ? "server is shutting down"
                           : "connection limit reached");
+      // Counted before the frame goes out, so a client that has read
+      // the rejection also sees it counted.
+      counters.conn_rejected.Increment();
       // e2gcl-lint: allow(blocking-in-event-loop): best-effort one-shot
       // write on a freshly accepted socket whose send buffer is empty;
       // a short write is acceptable (the close is the real rejection).
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      counters.conn_rejected.Increment();
       continue;
     }
     SetNonBlocking(fd);

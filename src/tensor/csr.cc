@@ -53,15 +53,72 @@ CsrMatrix CsrMatrix::FromCoo(
   return m;
 }
 
-CsrMatrix CsrMatrix::Transposed() const {
-  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
-  triplets.reserve(nnz());
-  for (std::int64_t r = 0; r < rows_; ++r) {
-    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      triplets.emplace_back(col_idx_[k], r, values_[k]);
+CsrMatrix CsrMatrix::FromCsr(std::int64_t rows, std::int64_t cols,
+                             std::vector<std::int64_t> row_ptr,
+                             std::vector<std::int32_t> col_idx,
+                             std::vector<float> values) {
+  E2GCL_CHECK(rows >= 0 && cols >= 0);
+  E2GCL_CHECK_MSG(
+      cols <= std::numeric_limits<std::int32_t>::max(),
+      "CsrMatrix column count %lld exceeds the int32 column-index range",
+      static_cast<long long>(cols));
+  E2GCL_CHECK(static_cast<std::int64_t>(row_ptr.size()) == rows + 1);
+  E2GCL_CHECK(col_idx.size() == values.size());
+  E2GCL_CHECK(row_ptr.front() == 0 &&
+              row_ptr.back() == static_cast<std::int64_t>(col_idx.size()));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    E2GCL_CHECK(row_ptr[r] <= row_ptr[r + 1]);
+    for (std::int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      E2GCL_CHECK_MSG(col_idx[k] >= 0 && col_idx[k] < cols &&
+                          (k == row_ptr[r] || col_idx[k - 1] < col_idx[k]),
+                      "CSR row %lld is not strictly ascending in [0, %lld)",
+                      static_cast<long long>(r), static_cast<long long>(cols));
     }
   }
-  return FromCoo(cols_, rows_, std::move(triplets));
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
+CsrMatrix CsrMatrix::Transposed() const {
+  E2GCL_CHECK_MSG(rows_ <= std::numeric_limits<std::int32_t>::max(),
+                  "CsrMatrix row count %lld exceeds the int32 column-index "
+                  "range of its transpose",
+                  static_cast<long long>(rows_));
+  CsrMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  for (std::int32_t c : col_idx_) t.row_ptr_[c + 1] += 1;
+  for (std::int64_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.resize(col_idx_.size());
+  t.values_.resize(values_.size());
+  // Source rows are visited in ascending order, so each output row's
+  // columns come out ascending: the canonical FromCoo layout.
+  std::vector<std::int64_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
+  for (std::int64_t r = 0; r < rows_; ++r) {
+    for (std::int64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const std::int64_t at = next[col_idx_[k]]++;
+      t.col_idx_[at] = static_cast<std::int32_t>(r);
+      t.values_[at] = values_[k];
+    }
+  }
+  return t;
+}
+
+void CsrMatrix::MarkSymmetric() {
+  E2GCL_CHECK_MSG(rows_ == cols_, "only a square matrix can be symmetric");
+  symmetric_ = true;
+  transpose_.reset();
+}
+
+void CsrMatrix::CarryTranspose() {
+  symmetric_ = false;
+  transpose_ = std::make_shared<const CsrMatrix>(Transposed());
 }
 
 Matrix CsrMatrix::ToDense() const {
@@ -76,15 +133,9 @@ Matrix CsrMatrix::ToDense() const {
 
 namespace {
 
-// Output-row floor for the scatter-form SpmmTransposedA: below this many
-// input rows there is a single chunk and the exact serial accumulation
-// order is preserved (covers every unit-test-sized graph).
-constexpr std::int64_t kScatterRowFloor = 512;
-
 /// Telemetry for one sparse-dense product: call count and touched byte
-/// volume (nnz values + indices, gathered/scattered dense rows, output).
-void RecordSpmmMetrics(const CsrMatrix& a, std::int64_t n,
-                       std::int64_t out_rows) {
+/// volume (nnz values + indices, gathered dense rows, output).
+void RecordSpmmMetrics(const CsrMatrix& a, std::int64_t n) {
   if (!ObsEnabled()) return;
   static const Counter calls = Counter::Get("spmm.calls");
   static const Counter bytes = Counter::Get("spmm.bytes");
@@ -92,7 +143,7 @@ void RecordSpmmMetrics(const CsrMatrix& a, std::int64_t n,
   const std::int64_t nnz = a.nnz();
   bytes.Add(static_cast<std::uint64_t>(
       nnz * static_cast<std::int64_t>(sizeof(float) + sizeof(std::int32_t)) +
-      (nnz + out_rows) * n * static_cast<std::int64_t>(sizeof(float))));
+      (nnz + a.rows()) * n * static_cast<std::int64_t>(sizeof(float))));
 }
 
 }  // namespace
@@ -100,7 +151,7 @@ void RecordSpmmMetrics(const CsrMatrix& a, std::int64_t n,
 Matrix Spmm(const CsrMatrix& a, const Matrix& b) {
   E2GCL_CHECK_MSG(a.cols() == b.rows(), "spmm inner-dim mismatch");
   const std::int64_t n = b.cols();
-  RecordSpmmMetrics(a, n, a.rows());
+  RecordSpmmMetrics(a, n);
   Matrix c(a.rows(), n);
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
@@ -120,60 +171,11 @@ Matrix Spmm(const CsrMatrix& a, const Matrix& b) {
 }
 
 Matrix SpmmTransposedA(const CsrMatrix& a, const Matrix& b) {
-  E2GCL_CHECK_MSG(a.rows() == b.rows(), "spmm(A^T) inner-dim mismatch");
-  const std::int64_t n = b.cols();
-  RecordSpmmMetrics(a, n, a.cols());
-  Matrix c(a.cols(), n);
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_idx();
-  const auto& vs = a.values();
-  // Scatter form: entry (r, col) contributes to output row `col`, so
-  // output rows are shared across input rows. Input rows are cut into
-  // fixed size-based chunks, each scattering into its own cols x n
-  // partial; partials are reduced in ascending chunk order, making the
-  // result independent of the thread count (never atomics on floats).
-  const std::int64_t avg_nnz =
-      a.rows() > 0 ? std::max<std::int64_t>(1, a.nnz() / a.rows()) : 1;
-  const std::int64_t grain =
-      std::max({kScatterRowFloor, GrainForCost(avg_nnz * n),
-                (a.rows() + 63) / 64});
-  const std::int64_t chunks = NumChunks(a.rows(), grain);
-  auto scatter = [&](Matrix& dst, std::int64_t rb, std::int64_t re) {
-    for (std::int64_t r = rb; r < re; ++r) {
-      const float* brow = b.RowPtr(r);
-      for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
-        simd::Axpy(dst.RowPtr(ci[k]), vs[k], brow, n);
-      }
-    }
-  };
-  if (chunks <= 1) {
-    scatter(c, 0, a.rows());
-    return c;
-  }
-  // Chunks are processed in waves so only `wave` cols x n partials are
-  // ever resident at once — a full partial per chunk peaks at 64 dense
-  // copies of the output on large graphs, which is what used to blow
-  // the backward-pass memory budget. The reduction stays in ascending
-  // chunk order across waves, so the result is still bit-identical at
-  // any thread count; the wave width only bounds memory.
-  const std::int64_t wave =
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(GetNumThreads()));
-  std::vector<Matrix> partials(std::min(chunks, wave));
-  for (std::int64_t wb = 0; wb < chunks; wb += wave) {
-    const std::int64_t we = std::min(chunks, wb + wave);
-    GlobalThreadPool().Run(we - wb, [&](std::int64_t i) {
-      const std::int64_t chunk = wb + i;
-      const std::int64_t rb = chunk * grain;
-      const std::int64_t re = std::min(a.rows(), rb + grain);
-      partials[i] = Matrix(a.cols(), n);
-      scatter(partials[i], rb, re);
-    });
-    for (std::int64_t i = 0; i < we - wb; ++i) {
-      AddInPlace(c, partials[i]);
-      partials[i] = Matrix();
-    }
-  }
-  return c;
+  const CsrMatrix* at = a.transpose();
+  E2GCL_CHECK_MSG(at != nullptr,
+                  "spmm(A^T) operand carries no transpose: mark it "
+                  "symmetric or carry one when the operand is made");
+  return Spmm(*at, b);
 }
 
 }  // namespace e2gcl

@@ -74,8 +74,10 @@ TEST(GradCheck, MatMulTransposedB) {
 }
 
 TEST(GradCheck, Spmm) {
-  auto s = std::make_shared<const CsrMatrix>(CsrMatrix::FromCoo(
-      3, 3, {{0, 1, 2.0f}, {1, 0, -1.0f}, {2, 2, 0.5f}, {0, 2, 1.0f}}));
+  CsrMatrix a = CsrMatrix::FromCoo(
+      3, 3, {{0, 1, 2.0f}, {1, 0, -1.0f}, {2, 2, 0.5f}, {0, 2, 1.0f}});
+  a.CarryTranspose();
+  auto s = std::make_shared<const CsrMatrix>(std::move(a));
   CheckGradients({RandM(3, 4, 17)}, [s](const std::vector<Var>& p) {
     return ag::SumAll(ag::Spmm(s, p[0]));
   });

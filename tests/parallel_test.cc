@@ -175,8 +175,10 @@ TEST(ParallelDeterminism, Spmm) {
 }
 
 TEST(ParallelDeterminism, SpmmTransposedAMultiChunk) {
-  // 1500 input rows > the 512-row scatter floor => per-chunk partials.
-  const CsrMatrix a = RandomSparse(1500, 400, 18000, 0x12);
+  // A^T B gathers over the carried transpose: each of its 400 output
+  // rows is owned by one chunk, so no thread count may change a bit.
+  CsrMatrix a = RandomSparse(1500, 400, 18000, 0x12);
+  a.CarryTranspose();
   const Matrix b = RandomMatrix(1500, 40, 0x13);
   ExpectSameAtAllThreadCounts<Matrix>([&] { return SpmmTransposedA(a, b); });
 }

@@ -1,5 +1,9 @@
 #include "tensor/csr.h"
 
+#include <cstring>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/rng.h"
@@ -61,6 +65,89 @@ TEST(CsrMatrix, TransposedMatchesDenseTranspose) {
             1e-7f);
 }
 
+// Reference transpose: FromCoo over the swapped triplets.
+CsrMatrix TransposedViaCoo(const CsrMatrix& m) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, float>> triplets;
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    for (std::int64_t k = m.row_ptr()[r]; k < m.row_ptr()[r + 1]; ++k) {
+      triplets.emplace_back(m.col_idx()[k], r, m.values()[k]);
+    }
+  }
+  return CsrMatrix::FromCoo(m.cols(), m.rows(), std::move(triplets));
+}
+
+void ExpectSameBytes(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  EXPECT_TRUE(got.values().empty() ||
+              std::memcmp(got.values().data(), want.values().data(),
+                          got.values().size() * sizeof(float)) == 0);
+}
+
+TEST(CsrMatrix, TransposedIsByteIdenticalToCooRoute) {
+  Rng rng(3);
+  // Random shapes and densities, including empty rows and columns.
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int64_t rows = 1 + rng.UniformInt(60);
+    const std::int64_t cols = 1 + rng.UniformInt(60);
+    const std::int64_t nnz = rng.UniformInt(rows * cols / 3 + 1);
+    std::vector<std::tuple<std::int64_t, std::int64_t, float>> trip;
+    for (std::int64_t i = 0; i < nnz; ++i) {
+      trip.emplace_back(rng.UniformInt(rows), rng.UniformInt(cols),
+                        rng.Normal());
+    }
+    const CsrMatrix m = CsrMatrix::FromCoo(rows, cols, std::move(trip));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectSameBytes(m.Transposed(), TransposedViaCoo(m));
+  }
+  ExpectSameBytes(CsrMatrix::FromCoo(5, 3, {}).Transposed(),
+                  TransposedViaCoo(CsrMatrix::FromCoo(5, 3, {})));
+  ExpectSameBytes(CsrMatrix().Transposed(), TransposedViaCoo(CsrMatrix()));
+  const CsrMatrix sample = SampleCsr();  // row 2 is empty
+  ExpectSameBytes(sample.Transposed(), TransposedViaCoo(sample));
+}
+
+TEST(CsrMatrix, FromCsrAdoptsCanonicalArrays) {
+  const CsrMatrix want = SampleCsr();
+  const CsrMatrix got = CsrMatrix::FromCsr(
+      4, 3, want.row_ptr(), want.col_idx(), want.values());
+  ExpectSameBytes(got, want);
+}
+
+TEST(CsrMatrixDeathTest, FromCsrRejectsUnsortedOrOutOfRangeColumns) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(CsrMatrix::FromCsr(1, 3, {0, 2}, {2, 1}, {1.0f, 1.0f}),
+               "not strictly ascending");
+  EXPECT_DEATH(CsrMatrix::FromCsr(1, 3, {0, 2}, {1, 1}, {1.0f, 1.0f}),
+               "not strictly ascending");
+  EXPECT_DEATH(CsrMatrix::FromCsr(1, 3, {0, 1}, {3}, {1.0f}),
+               "not strictly ascending");
+}
+
+TEST(CsrMatrix, CarriedTransposeIsSharedAndSymmetricIsSelf) {
+  CsrMatrix m = SampleCsr();
+  EXPECT_EQ(m.transpose(), nullptr);
+  m.CarryTranspose();
+  ASSERT_NE(m.transpose(), nullptr);
+  ExpectSameBytes(*m.transpose(), m.Transposed());
+  const CsrMatrix copy = m;
+  EXPECT_EQ(copy.transpose(), m.transpose());
+
+  CsrMatrix s = CsrMatrix::FromCoo(2, 2, {{0, 1, 0.5f}, {1, 0, 0.5f}});
+  s.MarkSymmetric();
+  EXPECT_EQ(s.transpose(), &s);
+}
+
+TEST(CsrMatrixDeathTest, SpmmTransposedANeedsACarriedTranspose) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const CsrMatrix a = SampleCsr();
+  const Matrix b(4, 2);
+  EXPECT_DEATH(SpmmTransposedA(a, b), "carries no transpose");
+}
+
 TEST(Spmm, MatchesDenseProduct) {
   CsrMatrix a = SampleCsr();
   Rng rng(1);
@@ -72,6 +159,7 @@ TEST(Spmm, MatchesDenseProduct) {
 
 TEST(Spmm, TransposedAMatchesDense) {
   CsrMatrix a = SampleCsr();
+  a.CarryTranspose();
   Rng rng(2);
   Matrix b = Matrix::RandomNormal(4, 6, 0, 1, rng);
   Matrix sparse = SpmmTransposedA(a, b);
@@ -100,6 +188,7 @@ TEST_P(SpmmRandom, AgreesWithDenseReference) {
                       rng.Normal());
   }
   CsrMatrix a = CsrMatrix::FromCoo(rows, cols, trip);
+  a.CarryTranspose();
   Matrix b = Matrix::RandomNormal(cols, 4, 0, 1, rng);
   EXPECT_LT(MaxAbsDiff(Spmm(a, b), MatMul(a.ToDense(), b)), 1e-4f);
   Matrix c = Matrix::RandomNormal(rows, 4, 0, 1, rng);
