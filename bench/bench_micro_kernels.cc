@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "autograd/loss.h"
+#include "autograd/ops.h"
 #include "cluster/kmeans.h"
 #include "core/node_selector.h"
 #include "core/raw_aggregation.h"
@@ -228,6 +229,38 @@ void BM_GlobalViewGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GlobalViewGeneration)->Arg(2048)->Arg(8192);
+
+// One training view at the arxiv stand-in's shape (20k nodes, 128-d):
+// the serial 2-hop path draws, edge scoring and weighted sampling, and
+// feature perturbation of the train-resident epoch.
+void BM_GlobalViewGenerationArxivScale(benchmark::State& state) {
+  Graph g = BenchGraph(20000);
+  ViewGenerator gen(g);
+  ViewConfig cfg{.tau = 0.8f, .eta = 0.5f};
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.GenerateGlobalView(cfg, rng));
+  }
+  state.counters["size"] = static_cast<double>(g.num_nodes);
+  state.SetItemsProcessed(state.iterations() * g.num_nodes);
+}
+BENCHMARK(BM_GlobalViewGenerationArxivScale)->Unit(benchmark::kMillisecond);
+
+// Forward and backward (through a SumAll) of one training-mode dropout
+// (p = 0.1) over a 20k x 128 activation: drops placed by geometric
+// skips, the tape holding the dropped indices.
+void BM_DropoutArxivScale(benchmark::State& state) {
+  Rng rng(7);
+  Var x = Var::Param(Matrix::RandomNormal(20000, 128, 0, 1, rng));
+  for (auto _ : state) {
+    x.ZeroGrad();
+    ag::SumAll(ag::Dropout(x, 0.1f, rng, /*training=*/true)).Backward();
+    benchmark::DoNotOptimize(x.grad().data());
+  }
+  state.counters["size"] = 20000.0 * 128.0;
+  state.SetItemsProcessed(state.iterations() * 20000 * 128);
+}
+BENCHMARK(BM_DropoutArxivScale)->Unit(benchmark::kMillisecond);
 
 void BM_PerNodeViewGeneration(benchmark::State& state) {
   Graph g = BenchGraph(4096);

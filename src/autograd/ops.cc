@@ -1,7 +1,10 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "parallel/parallel_for.h"
 #include "tensor/check.h"
@@ -342,21 +345,50 @@ Var GatherRows(const Var& a, std::vector<std::int64_t> indices) {
                   });
 }
 
+namespace {
+
+/// x[i] *= 0.0f at the sorted `dropped` positions and *= scale elsewhere:
+/// the bits of multiplying by the dense mask, NaN/Inf included.
+void ApplyDropMask(float* x, std::int64_t n,
+                   const std::vector<std::uint32_t>& dropped, float scale) {
+  std::int64_t i = 0;
+  for (const std::uint32_t k : dropped) {
+    for (; i < k; ++i) x[i] *= scale;
+    x[i++] *= 0.0f;
+  }
+  for (; i < n; ++i) x[i] *= scale;
+}
+
+}  // namespace
+
 Var Dropout(const Var& a, float p, Rng& rng, bool training) {
   if (!training || p <= 0.0f) return a;
   E2GCL_CHECK(p < 1.0f);
   const float keep = 1.0f - p;
   const float scale = 1.0f / keep;
-  auto mask = std::make_shared<std::vector<float>>(a.value().size());
   Matrix value = a.value();
-  for (std::int64_t i = 0; i < value.size(); ++i) {
-    const float m = rng.Bernoulli(keep) ? scale : 0.0f;
-    (*mask)[i] = m;
-    value.data()[i] *= m;
+  const std::int64_t n = value.size();
+  E2GCL_CHECK(n <= static_cast<std::int64_t>(UINT32_MAX));
+  // Dropped positions by geometric skips: the run of kept entries before
+  // the next drop is floor(log U / log keep) ~ Geometric(1 - keep), so
+  // there is one draw per dropped entry plus one that runs off the end.
+  auto dropped = std::make_shared<std::vector<std::uint32_t>>();
+  const double log_keep = std::log(static_cast<double>(keep));
+  if (log_keep < 0.0) {
+    dropped->reserve(
+        static_cast<std::size_t>(std::ceil(n * (1.0 - keep) * 1.05)) + 64);
+    for (std::int64_t last = -1;;) {
+      const double skip =
+          std::floor(std::log(1.0 - rng.Uniform53()) / log_keep);
+      if (skip >= static_cast<double>(n - 1 - last)) break;
+      last += static_cast<std::int64_t>(skip) + 1;
+      dropped->push_back(static_cast<std::uint32_t>(last));
+    }
   }
-  return MakeNode(std::move(value), {a}, [mask](Node& n) {
+  ApplyDropMask(value.data(), n, *dropped, scale);
+  return MakeNode(std::move(value), {a}, [dropped, scale](Node& n) {
     Matrix g = n.grad;
-    for (std::int64_t i = 0; i < g.size(); ++i) g.data()[i] *= (*mask)[i];
+    ApplyDropMask(g.data(), g.size(), *dropped, scale);
     n.parents[0]->AccumulateGrad(g);
   });
 }

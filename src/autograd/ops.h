@@ -65,7 +65,10 @@ Var MeanRows(const Var& a);
 Var GatherRows(const Var& a, std::vector<std::int64_t> indices);
 
 /// Inverted dropout: zeroes entries with probability p and scales the
-/// rest by 1/(1-p). Identity when `training` is false or p <= 0.
+/// rest by 1/(1-p). Identity when `training` is false or p <= 0. The
+/// tape keeps the sorted dropped indices (draws and bytes scale with
+/// the dropped count). Dropped entries are multiplied by 0, not
+/// assigned, so NaN/Inf give the bits of a dense 0/scale mask.
 Var Dropout(const Var& a, float p, Rng& rng, bool training);
 
 /// Batch normalization over columns with batch statistics:

@@ -108,4 +108,17 @@ float ImportanceScores::PerturbProbability(std::int64_t v, std::int64_t dim,
   return std::min(eta * dim_term_[dim] * node_term_[v], kProbabilityCap);
 }
 
+void ImportanceScores::PerturbProbabilities(std::int64_t v, float eta,
+                                            float* out) const {
+  const std::int64_t d = static_cast<std::int64_t>(dim_term_.size());
+  if (eta <= 0.0f) {
+    std::fill(out, out + d, 0.0f);
+    return;
+  }
+  const float node = node_term_[v];
+  for (std::int64_t i = 0; i < d; ++i) {
+    out[i] = std::min(eta * dim_term_[i] * node, kProbabilityCap);
+  }
+}
+
 }  // namespace e2gcl

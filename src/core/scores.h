@@ -55,6 +55,10 @@ class ImportanceScores {
   float PerturbProbability(std::int64_t v, std::int64_t dim,
                            float eta) const;
 
+  /// Row form: out[i] = PerturbProbability(v, i, eta) for every
+  /// dimension i, bit for bit.
+  void PerturbProbabilities(std::int64_t v, float eta, float* out) const;
+
   /// Maximum perturbation probability before eta scaling, mirroring
   /// GCA's cap that prevents certain perturbation of any feature.
   static constexpr float kProbabilityCap = 0.95f;

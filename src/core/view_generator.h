@@ -74,23 +74,26 @@ class ViewGenerator {
   const Graph& graph() const { return *graph_; }
 
  private:
+  /// Per-call sampler scratch (2-hop marks, candidates, weights, ...),
+  /// reused across the nodes of one view. Each Generate*View call owns
+  /// its own, so one const generator may be shared between threads.
+  struct Scratch;
+
   /// Samples the new neighbor set of node u under `config` into `out`.
   void SampleNeighbors(std::int64_t u, const ViewConfig& config, Rng& rng,
-                       std::vector<std::int64_t>* out) const;
+                       Scratch* scratch, std::vector<std::int64_t>* out) const;
+
+  /// Appends min(cap, |N_u^2|) distinct 2-hop candidates of u (not u,
+  /// not a neighbor) to the candidate list, which holds N_u on entry.
+  void CollectTwoHopCandidates(std::int64_t u, std::int64_t cap, Rng& rng,
+                               Scratch* scratch) const;
 
   /// Applies Eq. (16) to one feature row (in place).
   void PerturbRow(float* row, std::int64_t node, const ViewConfig& config,
-                  Rng& rng) const;
+                  Rng& rng, Scratch* scratch) const;
 
   const Graph* graph_;
   ImportanceScores scores_;
-  /// Per-node scratch of SampleNeighbors (2-hop bitmap + touched list,
-  /// candidates, their weights), reused across nodes; mutable because
-  /// view sampling is logically const.
-  mutable std::vector<char> seen_scratch_;
-  mutable std::vector<std::int64_t> touched_scratch_;
-  mutable std::vector<std::int64_t> candidates_scratch_;
-  mutable std::vector<float> weights_scratch_;
 };
 
 /// Quality of a generated view pair under Def. 2 / Eq. (15), measured

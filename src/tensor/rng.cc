@@ -71,16 +71,27 @@ std::vector<std::int64_t> Rng::SampleWithoutReplacement(std::int64_t n,
 
 std::vector<std::int64_t> Rng::WeightedSampleWithoutReplacement(
     const std::vector<float>& weights, std::int64_t k) {
+  std::vector<std::pair<float, std::int64_t>> keys;
+  std::vector<std::int64_t> result;
+  WeightedSampleWithoutReplacement(weights, k, &keys, &result);
+  return result;
+}
+
+void Rng::WeightedSampleWithoutReplacement(
+    const std::vector<float>& weights, std::int64_t k,
+    std::vector<std::pair<float, std::int64_t>>* keys,
+    std::vector<std::int64_t>* out) {
+  out->clear();
   const std::int64_t n = static_cast<std::int64_t>(weights.size());
-  if (k <= 0 || n == 0) return {};
+  if (k <= 0 || n == 0) return;
   if (k > n) k = n;
 
   // Exponential-sort trick (Efraimidis-Spirakis): draw key
   // u^(1/w) per item and take the top-k keys; equivalent to sequential
   // weighted sampling without replacement. We use -log(u)/w and take the
   // k smallest, which is numerically friendlier.
-  std::vector<std::pair<float, std::int64_t>> keys;
-  keys.reserve(n);
+  keys->clear();
+  keys->reserve(n);
   bool any_positive = false;
   for (std::int64_t i = 0; i < n; ++i) {
     E2GCL_CHECK(weights[i] >= 0.0f);
@@ -93,15 +104,14 @@ std::vector<std::int64_t> Rng::WeightedSampleWithoutReplacement(
     float u = Uniform();
     // Guard against log(0).
     u = std::max(u, 1e-12f);
-    keys.emplace_back(-std::log(u) / w, i);
+    keys->emplace_back(-std::log(u) / w, i);
   }
-  if (static_cast<std::int64_t>(keys.size()) < k) {
-    k = static_cast<std::int64_t>(keys.size());
+  if (static_cast<std::int64_t>(keys->size()) < k) {
+    k = static_cast<std::int64_t>(keys->size());
   }
-  std::partial_sort(keys.begin(), keys.begin() + k, keys.end());
-  std::vector<std::int64_t> result(k);
-  for (std::int64_t i = 0; i < k; ++i) result[i] = keys[i].second;
-  return result;
+  std::partial_sort(keys->begin(), keys->begin() + k, keys->end());
+  out->resize(k);
+  for (std::int64_t i = 0; i < k; ++i) (*out)[i] = (*keys)[i].second;
 }
 
 void Rng::Shuffle(std::vector<std::int64_t>& values) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace e2gcl {
@@ -26,6 +27,15 @@ class Rng {
 
   /// Uniform float in [0, 1).
   float Uniform();
+
+  /// One raw 64-bit engine output: two independent 32-bit halves for
+  /// samplers that compare against integer thresholds.
+  std::uint64_t Next64() { return engine_(); }
+
+  /// Uniform double in [0, 1) from the top 53 bits of one engine output.
+  double Uniform53() {
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform float in [lo, hi).
   float Uniform(float lo, float hi);
@@ -55,6 +65,13 @@ class Rng {
   /// than k indices.
   std::vector<std::int64_t> WeightedSampleWithoutReplacement(
       const std::vector<float>& weights, std::int64_t k);
+
+  /// The same draws written into `out` (cleared first), with `keys` as
+  /// reusable scratch, so hot loops sample without allocating.
+  void WeightedSampleWithoutReplacement(
+      const std::vector<float>& weights, std::int64_t k,
+      std::vector<std::pair<float, std::int64_t>>* keys,
+      std::vector<std::int64_t>* out);
 
   /// Fisher-Yates shuffle of `values`.
   void Shuffle(std::vector<std::int64_t>& values);

@@ -1,4 +1,7 @@
+#include <cstring>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +187,47 @@ TEST(GlobalView, TwoDrawsDiffer) {
   Graph v1 = gen.GenerateGlobalView(cfg, rng);
   Graph v2 = gen.GenerateGlobalView(cfg, rng);
   EXPECT_FALSE(v1.col == v2.col && v1.features == v2.features);
+}
+
+TEST(GlobalView, SharedConstGeneratorAcrossThreadsMatchesSerial) {
+  // Sampling scratch belongs to each call, so two threads may share one
+  // const generator (TSAN-checked) and still get their serial views.
+  const Graph g = MediumGraph();
+  const ViewGenerator gen(g);
+  ViewConfig hat{.tau = 0.8f, .eta = 0.5f};
+  ViewConfig tilde{.tau = 1.3f, .eta = 0.7f};
+  auto run = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<Graph> views;
+    for (int i = 0; i < 3; ++i) {
+      views.push_back(gen.GenerateGlobalView(hat, rng));
+      views.push_back(gen.GenerateGlobalView(tilde, rng));
+    }
+    std::int64_t root_index = 0;
+    views.push_back(gen.GeneratePerNodeView(5, 2, hat, rng, &root_index));
+    return views;
+  };
+  const std::vector<Graph> serial_a = run(41), serial_b = run(42);
+  std::vector<Graph> threaded_a, threaded_b;
+  std::thread ta([&] { threaded_a = run(41); });
+  std::thread tb([&] { threaded_b = run(42); });
+  ta.join();
+  tb.join();
+  auto expect_same = [](const std::vector<Graph>& x,
+                        const std::vector<Graph>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].row_ptr, y[i].row_ptr) << "view " << i;
+      EXPECT_EQ(x[i].col, y[i].col) << "view " << i;
+      ASSERT_EQ(x[i].features.size(), y[i].features.size());
+      EXPECT_EQ(std::memcmp(x[i].features.data(), y[i].features.data(),
+                            x[i].features.size() * sizeof(float)),
+                0)
+          << "view " << i;
+    }
+  };
+  expect_same(serial_a, threaded_a);
+  expect_same(serial_b, threaded_b);
 }
 
 TEST(GlobalView, EdgeAdditionDisabledKeepsSubsetOfOriginalEdges) {

@@ -137,6 +137,33 @@ TEST(WeightedSample, RequestMoreThanPositiveEntries) {
   EXPECT_EQ(s.size(), 2u);  // Only two positive-weight entries exist.
 }
 
+TEST(WeightedSample, ScratchOverloadMatchesAllocatingDraws) {
+  // Same seed, same calls: the scratch-filling overload must return the
+  // allocating form's indices and leave the stream at the same draw,
+  // with scratch reused (and left dirty) across calls.
+  Rng a(20), b(20), gen(21);
+  std::vector<std::pair<float, std::int64_t>> keys;
+  std::vector<std::int64_t> out = {99, 98};
+  for (int t = 0; t < 200; ++t) {
+    const std::int64_t n = gen.UniformInt(40);
+    std::vector<float> w(n);
+    const int kind = t % 4;
+    for (float& x : w) {
+      if (kind == 0) x = gen.Uniform(0.0f, 5.0f);  // random weights
+      if (kind == 1) x = 0.0f;                     // uniform fallback
+      if (kind == 2) x = gen.Bernoulli(0.3f) ? gen.Uniform() + 0.1f : 0.0f;
+      if (kind == 3) x = 1.0f;
+    }
+    // kind 2 often has fewer positive entries than k.
+    const std::int64_t k = gen.UniformInt(n + 3) - 1;
+    const std::vector<std::int64_t> want =
+        a.WeightedSampleWithoutReplacement(w, k);
+    b.WeightedSampleWithoutReplacement(w, k, &keys, &out);
+    ASSERT_EQ(out, want) << "trial " << t;
+  }
+  EXPECT_EQ(a.UniformInt(1 << 30), b.UniformInt(1 << 30));
+}
+
 TEST(Shuffle, IsPermutation) {
   Rng rng(18);
   std::vector<std::int64_t> v = {0, 1, 2, 3, 4, 5, 6, 7};
